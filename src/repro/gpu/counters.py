@@ -41,10 +41,10 @@ class Counters:
         """All PCIe bytes in both directions."""
         return self.h2d_bytes + self.d2h_bytes
 
-    def count_kernel(self, op: str, variant: str) -> None:
-        """Tally one launch of ``op``/``variant`` (per-kernel attribution)."""
-        key = f"{op}/{variant}"
-        self.kernel_counts[key] = self.kernel_counts.get(key, 0) + 1
+    def count_kernel(self, name: str) -> None:
+        """Tally one launch of kernel ``name`` (``"op/variant"``)."""
+        counts = self.kernel_counts
+        counts[name] = counts.get(name, 0) + 1
 
     def reset(self) -> None:
         """Zero every counter and drop all marks.

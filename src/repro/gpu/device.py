@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.model import PerformanceModel
-from ..perf.kernels import kernel_flops_bytes
 from .counters import Counters
 
 __all__ = ["Device", "DeviceArray", "Host"]
@@ -73,13 +72,10 @@ class _Clocked:
         self._poison_pending = None
         self.clock = 0.0
 
-    def _record_kernel(self, op: str, variant: str, start: float, t: float) -> None:
+    def _record_kernel(self, name: str, op: str, variant: str, start: float, t: float) -> None:
         """Log one kernel interval into the trace (no-op without one)."""
         if self.trace is not None:
-            self.trace.record(
-                f"{op}/{variant}", self.name, "kernel", start, t, op=op,
-                variant=variant,
-            )
+            self.trace.record(name, self.name, "kernel", start, t, op=op, variant=variant)
 
     def _faulted_time(self, op: str, variant: str, start: float, t: float) -> float:
         """Run the fault hook for one kernel charge (stall/poison/dropout)."""
@@ -162,13 +158,13 @@ class Device(_Clocked):
     def charge_kernel(self, op: str, variant: str, **shape) -> float:
         """Advance this device's clock by one kernel's modeled time."""
         start = self.clock
-        t = self._faulted_time(op, variant, start, self.perf.gpu_time(op, variant, **shape))
+        seconds, flops, name = self.perf.gpu_cost(op, variant, shape)
+        t = self._faulted_time(op, variant, start, seconds)
         self.advance(t)
-        flops, _ = kernel_flops_bytes(op, variant, **shape)
         self.counters.kernel_launches += 1
         self.counters.device_flops += flops
-        self.counters.count_kernel(op, variant)
-        self._record_kernel(op, variant, start, t)
+        self.counters.count_kernel(name)
+        self._record_kernel(name, op, variant, start, t)
         return t
 
     def require_resident(self, *arrays: DeviceArray) -> None:
@@ -194,20 +190,21 @@ class Host(_Clocked):
     def charge_kernel(self, op: str, variant: str = "mkl", **shape) -> float:
         """Advance the host clock by one threaded-BLAS kernel's time."""
         start = self.clock
-        t = self._faulted_time(op, variant, start, self.perf.cpu_time(op, variant, **shape))
+        seconds, flops, name = self.perf.cpu_cost(op, variant, shape)
+        t = self._faulted_time(op, variant, start, seconds)
         self.advance(t)
-        flops, _ = kernel_flops_bytes(op, variant, **shape)
         self.counters.host_flops += flops
-        self.counters.count_kernel(op, variant)
-        self._record_kernel(op, variant, start, t)
+        self.counters.count_kernel(name)
+        self._record_kernel(name, op, variant, start, t)
         return t
 
     def charge_small_dense(self, op: str, k: int) -> float:
         """Advance the host clock by a small k x k LAPACK factorization."""
         start = self.clock
-        t = self._faulted_time(op, "lapack", start, self.perf.host_small_dense(op, k))
+        seconds, name = self.perf.small_dense_cost(op, k)
+        t = self._faulted_time(op, "lapack", start, seconds)
         self.advance(t)
         self.counters.host_small_ops += 1
-        self.counters.count_kernel(op, "lapack")
-        self._record_kernel(op, "lapack", start, t)
+        self.counters.count_kernel(name)
+        self._record_kernel(name, op, "lapack", start, t)
         return t

@@ -41,10 +41,8 @@ class PcieBus:
         self.deactivated.add(peer)
 
     def message_time(self, nbytes: int) -> float:
-        """Cost of one message of ``nbytes`` in isolation."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return self.spec.latency + nbytes / self.spec.bandwidth
+        """Cost of one message of ``nbytes`` in isolation (see :meth:`PcieSpec.message_time`)."""
+        return self.spec.message_time(nbytes)
 
     def schedule(
         self, ready_at: float, nbytes: int, kind: str = "xfer", peer: str | None = None

@@ -20,9 +20,12 @@ event log:
 Three consumers sit on top of the log:
 
 * :meth:`TraceRecorder.exclusive_totals` — the legacy ``ctx.timers`` view
-  (identical to the old accumulation for non-nested regions);
+  (identical to the old accumulation for non-nested regions), tallied as
+  regions close;
 * :meth:`TraceRecorder.profile` — per-kernel / per-region / per-transfer /
-  per-restart-cycle aggregates, attached to ``SolveResult.details["profile"]``;
+  per-restart-cycle aggregates, attached to ``SolveResult.details["profile"]``,
+  computed in a single pass over the log (linear in the event count, not
+  in cycles x events);
 * :meth:`TraceRecorder.to_chrome_trace` — Chrome ``trace_event``-format JSON
   (one lane per device + host + PCIe bus + a region lane) that opens in
   ``chrome://tracing`` / Perfetto.
@@ -31,6 +34,7 @@ Three consumers sit on top of the log:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 __all__ = ["TraceEvent", "TraceRecorder"]
@@ -85,11 +89,15 @@ class TraceEvent:
 class TraceRecorder:
     """Append-only event log with region nesting and cycle marks.
 
-    The recorder is intentionally cheap: recording is a dataclass append,
-    and all aggregation (:meth:`profile`, :meth:`exclusive_totals`) walks
-    the log on demand.  ``enabled = False`` turns every record call into a
-    no-op while keeping the exclusive-time region bookkeeping (so
-    ``ctx.timers`` stays correct either way).
+    Recording is O(1) per event: a dataclass append.  Exclusive region
+    times are tallied as regions close (:meth:`exclusive_totals`); every
+    other aggregate comes from one pass over the log in event order, so
+    :meth:`profile` costs O(events) whatever the number of restart cycles.
+    The raw events stay in :attr:`events` for the exporters
+    (:meth:`to_chrome_trace`, the ``trace`` CLI, the fault lane).
+    ``enabled = False`` turns every record call into a no-op while keeping
+    the exclusive-time region bookkeeping (so ``ctx.timers`` stays correct
+    either way).
     """
 
     def __init__(self, enabled: bool = True):
@@ -188,9 +196,67 @@ class TraceRecorder:
         """
         return dict(self._exclusive)
 
+    def _fold(self) -> dict:
+        """Every aggregate of the event log, from one pass in event order.
+
+        Sums accumulate in event order, so each float is the same as from a
+        dedicated loop per aggregate.  Depth-0 regions are kept as
+        ``(start, name, inclusive)`` for the cycle breakdown.
+        """
+        kernels: dict[str, dict] = {}
+        regions: dict[str, dict] = {}
+        transfers = {
+            "h2d": {"count": 0, "bytes": 0, "time": 0.0},
+            "d2h": {"count": 0, "bytes": 0, "time": 0.0},
+        }
+        busy: dict[str, float] = {}
+        top: list[tuple] = []
+        end = None
+        for e in self.events:
+            start, duration, kind = e.start, e.duration, e.kind
+            t = start + duration
+            if end is None or t > end:
+                end = t
+            if kind == "kernel":
+                lane = e.lane
+                entry = kernels.get(e.name)
+                if entry is None:
+                    entry = kernels[e.name] = {"count": 0, "time": 0.0, "by_lane": {}}
+                entry["count"] += 1
+                entry["time"] += duration
+                by_lane = entry["by_lane"]
+                by_lane[lane] = by_lane.get(lane, 0.0) + duration
+                busy[lane] = busy.get(lane, 0.0) + duration
+            elif kind == "region":
+                args = e.args
+                entry = regions.get(e.name)
+                if entry is None:
+                    entry = regions[e.name] = {"count": 0, "inclusive": 0.0, "exclusive": 0.0}
+                entry["count"] += 1
+                if not args.get("self_nested", False):
+                    entry["inclusive"] += args["inclusive"]
+                entry["exclusive"] += args["exclusive"]
+                if args.get("depth", 0) == 0:
+                    top.append((start, e.name, args["inclusive"]))
+            elif kind in transfers:
+                entry = transfers[kind]
+                entry["count"] += 1
+                entry["bytes"] += e.args.get("bytes", 0)
+                entry["time"] += duration
+                if e.lane == PCIE_LANE:
+                    busy[PCIE_LANE] = busy.get(PCIE_LANE, 0.0) + duration
+        return {
+            "end": 0.0 if end is None else end,
+            "kernels": kernels,
+            "regions": regions,
+            "transfers": transfers,
+            "busy": busy,
+            "top": top,
+        }
+
     def end_time(self) -> float:
         """Latest event end (0.0 on an empty trace)."""
-        return max((e.end for e in self.events), default=0.0)
+        return self._fold()["end"]
 
     def lane_busy_totals(self) -> dict[str, float]:
         """Busy seconds per lane: kernel time for device/host lanes, bus
@@ -200,25 +266,11 @@ class TraceRecorder:
         ``busy[lane] / end_time()`` is the fraction of the run the lane had
         work in flight.
         """
-        busy: dict[str, float] = {}
-        for e in self.events:
-            if e.kind == "kernel" or (e.lane == PCIE_LANE and e.kind in ("h2d", "d2h")):
-                busy[e.lane] = busy.get(e.lane, 0.0) + e.duration
-        return busy
+        return self._fold()["busy"]
 
     def kernel_totals(self) -> dict[str, dict]:
         """Per-kernel aggregates: count, total seconds, per-lane seconds."""
-        out: dict[str, dict] = {}
-        for e in self.events:
-            if e.kind != "kernel":
-                continue
-            entry = out.setdefault(
-                e.name, {"count": 0, "time": 0.0, "by_lane": {}}
-            )
-            entry["count"] += 1
-            entry["time"] += e.duration
-            entry["by_lane"][e.lane] = entry["by_lane"].get(e.lane, 0.0) + e.duration
-        return out
+        return self._fold()["kernels"]
 
     def region_totals(self) -> dict[str, dict]:
         """Per-region aggregates.
@@ -227,40 +279,22 @@ class TraceRecorder:
         time is already covered, so recursive/self-nested regions are not
         counted twice); ``exclusive`` matches :meth:`exclusive_totals`.
         """
-        out: dict[str, dict] = {}
-        for e in self.events:
-            if e.kind != "region":
-                continue
-            entry = out.setdefault(
-                e.name, {"count": 0, "inclusive": 0.0, "exclusive": 0.0}
-            )
-            entry["count"] += 1
-            if not e.args.get("self_nested", False):
-                entry["inclusive"] += e.args["inclusive"]
-            entry["exclusive"] += e.args["exclusive"]
-        return out
+        return self._fold()["regions"]
 
     def transfer_totals(self) -> dict[str, dict]:
         """h2d/d2h aggregates: message count, bytes, bus seconds."""
-        out = {
-            "h2d": {"count": 0, "bytes": 0, "time": 0.0},
-            "d2h": {"count": 0, "bytes": 0, "time": 0.0},
-        }
-        for e in self.events:
-            if e.kind not in out:
-                continue
-            entry = out[e.kind]
-            entry["count"] += 1
-            entry["bytes"] += e.args.get("bytes", 0)
-            entry["time"] += e.duration
-        return out
+        return self._fold()["transfers"]
+
+    def _windows(self, end: float) -> list[tuple[float, float]]:
+        """Cycle windows from the marks, the last one closing at ``end``."""
+        if not self.cycle_marks:
+            return []
+        bounds = list(self.cycle_marks) + [max(end, self.cycle_marks[-1])]
+        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
     def cycle_windows(self) -> list[tuple[float, float]]:
         """Restart-cycle windows ``[(start, end), ...]`` from the marks."""
-        if not self.cycle_marks:
-            return []
-        bounds = list(self.cycle_marks) + [max(self.end_time(), self.cycle_marks[-1])]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+        return self._windows(self.end_time())
 
     def profile(self) -> dict:
         """Aggregate metrics for ``SolveResult.details["profile"]``.
@@ -270,25 +304,30 @@ class TraceRecorder:
         split), ``transfers`` (h2d/d2h count/bytes/bus-time), ``bus``
         (occupancy summary), and ``cycles`` (per-restart-cycle duration and
         top-level region breakdown).
+
+        One pass over the events, plus a sort of the depth-0 regions by
+        start: a window ``[start, end)`` takes the regions whose start lies
+        in it, found by bisection, summed in event order.
         """
-        transfers = self.transfer_totals()
+        fold = self._fold()
+        top = fold["top"]
+        order = sorted(range(len(top)), key=lambda i: top[i][0])
+        starts = [top[i][0] for i in order]
         cycles = []
-        for start, end in self.cycle_windows():
+        for start, end in self._windows(fold["end"]):
             regions: dict[str, float] = {}
-            for e in self.events:
-                if (
-                    e.kind == "region"
-                    and e.args.get("depth", 0) == 0
-                    and start <= e.start < end
-                ):
-                    regions[e.name] = regions.get(e.name, 0.0) + e.args["inclusive"]
+            lo, hi = bisect_left(starts, start), bisect_left(starts, end)
+            for i in sorted(order[lo:hi]):
+                _, name, inclusive = top[i]
+                regions[name] = regions.get(name, 0.0) + inclusive
             cycles.append(
                 {"start": start, "end": end, "duration": end - start, "regions": regions}
             )
+        transfers = fold["transfers"]
         return {
-            "total_time": self.end_time(),
-            "regions": self.region_totals(),
-            "kernels": self.kernel_totals(),
+            "total_time": fold["end"],
+            "regions": fold["regions"],
+            "kernels": fold["kernels"],
             "transfers": transfers,
             "bus": {
                 "busy_time": transfers["h2d"]["time"] + transfers["d2h"]["time"],

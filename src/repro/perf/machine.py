@@ -71,6 +71,12 @@ class PcieSpec:
         if self.latency < 0 or self.bandwidth <= 0:
             raise ValueError("PCIe spec must be positive")
 
+    def message_time(self, nbytes: float) -> float:
+        """Cost of one message of ``nbytes`` in isolation: latency + size / bandwidth."""
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        return self.latency + nbytes / self.bandwidth
+
 
 @dataclass(frozen=True)
 class MachineSpec:
