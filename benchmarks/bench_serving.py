@@ -113,7 +113,7 @@ def bench_case(name, spec, warm_solves, batch_rhs):
         warm_times.append(time.perf_counter() - t0)
     warm_s = sum(warm_times) / len(warm_times)
 
-    # Batched throughput: distinct RHSs, interleaved restart cycles.
+    # Batched throughput: distinct RHSs, solved one after another.
     bs = [rng.standard_normal(A.n_rows) for _ in range(batch_rhs)]
     t0 = time.perf_counter()
     batch = session.solve_many(bs)

@@ -356,7 +356,7 @@ def _cmd_serve(args) -> int:
         t_batch = time.perf_counter() - t0
         rows.append([
             f"solve_many x{len(bs)}", f"{1e3 * t_batch:.1f}",
-            f"{1e3 * batch[-1].total_time:.2f}",
+            f"{1e3 * sum(r.total_time for r in batch):.2f}",
             sum(r.n_iterations for r in batch),
             f"{sum(r.converged for r in batch)}/{len(bs)}",
         ])

@@ -4,6 +4,9 @@
   baseline all speedups are measured against;
 * :mod:`~repro.core.ca_gmres` — CA-GMRES(s, m) (Fig. 2): MPK + BOrth + TSQR
   generate and orthogonalize ``s`` basis vectors per communication phase;
+* :mod:`~repro.core.pipelined` — footnote 5's pipelined GMRES;
+* :mod:`~repro.core.restart` — what all three share around a cycle: set-up,
+  restart loop, cycle redo, degraded-mode rebuild and the final result;
 * :mod:`~repro.core.basis` — change-of-basis matrices, Ritz values, Newton
   shifts (re-exporting the Leja machinery from :mod:`repro.mpk.shifts`);
 * :mod:`~repro.core.lsq` — Givens-rotation least squares for the upper

@@ -14,7 +14,6 @@ against; :func:`run_gmres_cycle` is also reused by CA-GMRES for its first
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,16 +21,14 @@ from ..dist.matrix import DistributedMatrix
 from ..dist.multivector import DistMultiVector, DistVector
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition, block_row_partition
 from ..orth.single import orthogonalize_vector
 from ..sparse.csr import CsrMatrix
-from .balance import balance_matrix
 from .convergence import ConvergenceHistory, SolveResult
-from .degrade import DegradationManager, DegradePolicy
 from .lsq import GivensHessenbergSolver
-from .resilience import guard_finite, run_cycle_resilient
+from .resilience import guard_finite
+from .restart import RestartedSolve
 
-__all__ = ["gmres", "GmresRun", "run_gmres_cycle", "CycleInfo", "checked_true_residual"]
+__all__ = ["gmres", "GmresRun", "run_gmres_cycle", "CycleInfo"]
 
 
 @dataclass
@@ -84,25 +81,6 @@ def update_solution(
         zip(V.panel(0, t), x.parts()),
     ):
         blas.gemv_n_update(panel, bcast, xp)  # x -= V @ (-y)
-
-
-def gathered_solution(x: DistVector) -> np.ndarray:
-    """Read the distributed solution without charging transfers (diagnostic)."""
-    out = np.empty(x.n_rows, dtype=np.float64)
-    for d in range(x.ctx.n_gpus):
-        out[x.partition.rows_of(d)] = x.parts()[d].data
-    return out
-
-
-def checked_true_residual(ctx, A_solve, b_solve, x) -> float:
-    """True residual norm at a restart boundary (uncosted diagnostic).
-
-    With resilience enabled, a non-finite value — a poisoned solution
-    update — raises for the cycle-redo machinery.
-    """
-    true_res = float(np.linalg.norm(b_solve - A_solve.matvec(gathered_solution(x))))
-    guard_finite(ctx, true_res, "true residual")
-    return true_res
 
 
 def run_gmres_cycle(
@@ -167,331 +145,50 @@ def run_gmres_cycle(
     )
 
 
-class GmresRun:
-    """One restarted-GMRES solve as a resumable object.
+class GmresRun(RestartedSolve):
+    """One restarted-GMRES(m) solve; see :class:`~repro.core.restart.RestartedSolve`.
 
-    The historical :func:`gmres` driver is ``GmresRun(...).result()``.  The
-    object form exists for the serving layer (:mod:`repro.serve`): a
-    :meth:`step` advances the solve by exactly one restart cycle, so a
-    batched frontend can interleave the restart cycles of many right-hand
-    sides on one context, and a prebuilt structural ``plan`` (see
-    :class:`repro.serve.plan.StructuralPlan`) lets repeated solves against
-    the same matrix skip the per-solve structural setup (balancing,
-    distribution, halo index sets) entirely.  Numerics are unaffected:
-    a plan-driven solve is bit-identical to a cold one.
-    """
-
-    def __init__(
-        self,
-        matrix: CsrMatrix,
-        b: np.ndarray,
-        ctx: MultiGpuContext | None = None,
-        n_gpus: int = 1,
-        partition: Partition | None = None,
-        m: int = 30,
-        tol: float = 1e-4,
-        max_restarts: int = 500,
-        orth_method: str = "cgs",
-        gemv_variant: str = "magma",
-        balance: bool = True,
-        x0: np.ndarray | None = None,
-        preconditioner=None,
-        degrade: DegradePolicy | None = None,
-        deadline: float | None = None,
-        plan=None,
-        on_cycle=None,
-    ):
-        if matrix.n_rows != matrix.n_cols:
-            raise ValueError("gmres requires a square matrix")
-        n = matrix.n_rows
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},), got {b.shape}")
-        if b.size and not np.all(np.isfinite(b)):
-            raise ValueError("b contains non-finite entries")
-        if not 1 <= m <= n:
-            raise ValueError(f"restart length m={m} out of range [1, {n}]")
-        if ctx is None:
-            ctx = MultiGpuContext(n_gpus)
-        elif ctx.inactive_devices:
-            # A previous degraded solve left the roster shrunken; restore the
-            # full device set (and pristine fault state) before partitioning.
-            ctx.reset_clocks()
-        self.ctx = ctx
-        self.plan = plan
-
-        if plan is not None:
-            if partition is not None:
-                raise ValueError("pass either plan= or partition=, not both")
-            if plan.V.n_cols != m + 1:
-                raise ValueError(
-                    f"plan was built for m={plan.V.n_cols - 1}, solve requested m={m}"
-                )
-            partition = plan.partition
-            if partition.n_parts != ctx.n_gpus:
-                raise ValueError("plan partition does not match the active roster")
-            preconditioner = plan.preconditioner
-            bal = plan.bal
-            A_solve = plan.operator
-        else:
-            if partition is None:
-                partition = block_row_partition(n, ctx.n_gpus)
-            A_pre = preconditioner.fold(matrix) if preconditioner is not None else matrix
-            bal = balance_matrix(A_pre) if balance else None
-            A_solve = bal.matrix if bal is not None else A_pre
-        b_solve = bal.scale_rhs(b) if bal is not None else b
-        self.preconditioner = preconditioner
-        self.bal = bal
-        self.A_solve = A_solve
-        self.b_solve = b_solve
-        self.m = int(m)
-        self.max_restarts = int(max_restarts)
-        self.orth_method = orth_method
-        self.gemv_variant = gemv_variant
-
-        # Mutable solver state: the cycle closure and the degraded-mode
-        # rebuild both go through it, so a repartition swaps every
-        # distributed object at once and replayed cycles pick up the
-        # rebuilt versions.
-        self.st = st = SimpleNamespace(
-            partition=partition,
-            dmat=plan.dmat if plan is not None else DistributedMatrix(ctx, A_solve, partition),
-            V=plan.V if plan is not None else DistMultiVector(ctx, partition, m + 1),
-            x=DistVector(ctx, partition),
-            b=DistVector.from_host(ctx, partition, b_solve),
-        )
-        if x0 is not None:
-            if preconditioner is not None:
-                raise ValueError("x0 with a preconditioner is not supported")
-            start = (x0 / bal.col_scale) if bal is not None else x0
-            st.x.set_from_host(np.asarray(start, dtype=np.float64))
-        ctx.reset_clocks()
-        ctx.counters.reset()
-
-        self.degrader = None
-        if degrade is not None or deadline is not None:
-            self.degrader = DegradationManager(
-                ctx, A_solve, self._rebuild, policy=degrade, deadline=deadline
-            )
-
-        history = ConvergenceHistory()
-        r0 = b_solve - A_solve.matvec(gathered_solution(st.x))
-        history.initial_residual = float(np.linalg.norm(r0))
-        self.history = history
-        self.converged = False
-        self.restarts = 0
-        self.iterations = 0
-        self.on_cycle = on_cycle
-        self.unrecovered: list[dict] = []
-        self.abs_tol = tol * history.initial_residual
-        # Already at (numerical) convergence: a relative criterion on a zero
-        # residual would be meaningless.
-        floor = 100.0 * np.finfo(np.float64).eps * float(np.linalg.norm(b_solve))
-        if history.initial_residual <= floor:
-            self.converged = True
-            self._gen = None
-        else:
-            self._gen = self._cycle_iter()
-        self._result: SolveResult | None = None
-
-    # ------------------------------------------------------------------
-    def _rebuild(self, new_partition, x_host):
-        """Degraded-mode rebuild of the distributed state over survivors."""
-        ctx, st = self.ctx, self.st
-        st.partition = new_partition
-        if self.plan is not None:
-            sub = self.plan.derive(new_partition)
-            st.dmat = sub.dmat
-            st.V = sub.V
-        else:
-            st.dmat = DistributedMatrix(ctx, self.A_solve, new_partition)
-            st.V = DistMultiVector(ctx, new_partition, self.m + 1)
-        st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
-        st.x = DistVector.from_host(ctx, new_partition, x_host)
-        return st.x
-
-    @property
-    def finished(self) -> bool:
-        """True once the restart loop has terminated."""
-        return self._gen is None
-
-    def step(self) -> bool:
-        """Advance by one restart cycle; False once the solve is finished."""
-        if self._gen is None:
-            return False
-        try:
-            next(self._gen)
-        except StopIteration:
-            self._gen = None
-            return False
-        return True
-
-    def _cycle_iter(self):
-        ctx, st = self.ctx, self.st
-        for _ in range(self.max_restarts):
-            if self.degrader is not None and self.degrader.deadline_reached():
-                return
-            ctx.mark_cycle()
-            cycle_start = ctx.current_time()
-
-            def cycle(offset=self.iterations):
-                info = run_gmres_cycle(
-                    ctx,
-                    st.dmat,
-                    st.V,
-                    st.x,
-                    st.b,
-                    self.m,
-                    self.abs_tol,
-                    orth_method=self.orth_method,
-                    gemv_variant=self.gemv_variant,
-                    history=self.history,
-                    iteration_offset=offset,
-                )
-                # True residual at the restart boundary (uncosted diagnostic).
-                return info, checked_true_residual(
-                    ctx, self.A_solve, self.b_solve, st.x
-                )
-
-            outcome, aborted = run_cycle_resilient(
-                ctx, cycle, st.x, self.history, self.unrecovered,
-                degrader=self.degrader,
-            )
-            if aborted:
-                return
-            info, true_res = outcome
-            self.restarts += 1
-            self.iterations += info.iterations
-            if self.on_cycle is not None:
-                self.on_cycle(self.restarts - 1, cycle_start, ctx.current_time())
-            self.history.record_true(self.iterations, true_res)
-            if true_res <= self.abs_tol:
-                self.converged = True
-                return
-            yield
-
-    def result(self) -> SolveResult:
-        """Run any remaining cycles and return the (cached) final result."""
-        while self.step():
-            pass
-        if self._result is None:
-            self._result = _finish(
-                self.ctx, self.st.x, self.bal, self.converged, self.restarts,
-                self.iterations, self.history, 0, self.preconditioner,
-                self.unrecovered, degrader=self.degrader,
-            )
-        return self._result
-
-
-def gmres(
-    matrix: CsrMatrix,
-    b: np.ndarray,
-    ctx: MultiGpuContext | None = None,
-    n_gpus: int = 1,
-    partition: Partition | None = None,
-    m: int = 30,
-    tol: float = 1e-4,
-    max_restarts: int = 500,
-    orth_method: str = "cgs",
-    gemv_variant: str = "magma",
-    balance: bool = True,
-    x0: np.ndarray | None = None,
-    preconditioner=None,
-    degrade: DegradePolicy | None = None,
-    deadline: float | None = None,
-    plan=None,
-    on_cycle=None,
-) -> SolveResult:
-    """Solve ``A x = b`` with restarted GMRES(m) on simulated GPUs.
+    :func:`gmres` is ``GmresRun(...).result()``.
 
     Parameters
     ----------
-    matrix
-        Square CSR matrix.
-    b
-        Right-hand side (host array).
-    ctx
-        Execution context; built with ``n_gpus`` devices when omitted.
-    partition
-        Row distribution; equal block rows when omitted.
-    m
-        Restart length.
-    tol
-        Relative residual tolerance (the paper's four-orders-of-magnitude
-        criterion is ``1e-4``).
-    max_restarts
-        Cycle limit.
     orth_method
         ``"cgs"`` (BLAS-2, the paper's fast configuration) or ``"mgs"``.
     gemv_variant
         Tall-skinny DGEMV implementation for CGS (``"magma"``/``"cublas"``).
-    balance
-        Apply the paper's row-then-column norm balancing first.
-    x0
-        Initial guess (zero when omitted).
-    preconditioner
-        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
-        methods (see :mod:`repro.precond`); the solver iterates on the
-        folded operator ``A M^{-1}`` and maps the solution back.
-    degrade
-        Optional :class:`~repro.core.degrade.DegradePolicy`: a device
-        dropout mid-solve is absorbed by repartitioning over the
-        survivors and resuming instead of aborting (see
-        :mod:`repro.core.degrade`).
-    deadline
-        Optional simulated-time budget in seconds; the solve stops at the
-        first restart boundary past it (``details["degradation"]``
-        records the trip).
-    plan
-        Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
-        matrix/context: the structural setup (balancing, partitioning,
-        distribution, halo index sets) is reused instead of recomputed.
-        Mutually exclusive with ``partition``; ``balance`` and
-        ``preconditioner`` are taken from the plan.
-    on_cycle
-        Optional per-cycle callback ``on_cycle(index, start, end)``
-        invoked after every completed restart cycle with the cycle index
-        and its simulated start/end times — the hook behind the
-        ``repro_solver_cycle_seconds`` metric (see
-        :func:`repro.metrics.collect.cycle_observer`).  Not called for a
-        cycle aborted by an unrecoverable fault.
-
-    Returns
-    -------
-    SolveResult
-        Solution in the original variables plus timings/counters/history.
+    **options
+        The shared solve options of
+        :class:`~repro.core.restart.RestartedSolve` (``ctx``, ``n_gpus``,
+        ``partition``, ``m``, ``tol``, ``max_restarts``, ``balance``,
+        ``x0``, ``preconditioner``, ``degrade``, ``deadline``, ``plan``,
+        ``on_cycle``).
     """
-    return GmresRun(
-        matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
-        max_restarts=max_restarts, orth_method=orth_method,
-        gemv_variant=gemv_variant, balance=balance, x0=x0,
-        preconditioner=preconditioner, degrade=degrade, deadline=deadline,
-        plan=plan, on_cycle=on_cycle,
-    ).result()
+
+    name = "gmres"
+
+    def __init__(self, matrix, b, *, orth_method="cgs", gemv_variant="magma", **options):
+        self.orth_method = orth_method
+        self.gemv_variant = gemv_variant
+        super().__init__(matrix, b, **options)
+
+    def _cycle(self):
+        st = self.st
+        info = run_gmres_cycle(
+            self.ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+            orth_method=self.orth_method, gemv_variant=self.gemv_variant,
+            history=self.history, iteration_offset=self.iterations,
+        )
+        return info.iterations
+
+    # The benchmark tracer wraps these through this class's own __dict__.
+    step = RestartedSolve.step
+    result = RestartedSolve.result
 
 
-def _finish(
-    ctx, x, bal, converged, restarts, iterations, history, breakdowns,
-    preconditioner=None, unrecovered=None, degrader=None,
-):
-    x_host = gathered_solution(x)
-    if bal is not None:
-        x_host = bal.unscale_solution(x_host)
-    if preconditioner is not None:
-        x_host = preconditioner.recover(x_host)
-    details = {"profile": ctx.trace.profile()}
-    if ctx.faults.has_activity() or unrecovered:
-        details["faults"] = ctx.faults.report(unrecovered)
-    if degrader is not None:
-        details["degradation"] = degrader.report()
-    return SolveResult(
-        x=x_host,
-        converged=converged,
-        n_restarts=restarts,
-        n_iterations=iterations,
-        history=history,
-        timers=dict(ctx.timers),
-        counters=ctx.counters.snapshot(),
-        breakdowns=breakdowns,
-        details=details,
-    )
+def gmres(matrix: CsrMatrix, b: np.ndarray, **options) -> SolveResult:
+    """Solve ``A x = b`` with restarted GMRES(m) on simulated GPUs.
+
+    ``options`` are those of :class:`GmresRun`.  Returns the solution in
+    the original variables plus timings/counters/history.
+    """
+    return GmresRun(matrix, b, **options).result()

@@ -66,7 +66,7 @@ def make_session(
     closure, exchange index sets) is computed once and shared by every
     trial; :meth:`~repro.serve.SolverSession.arm_fault_plan` swaps the
     fault schedule between trials on the long-lived context.  Only the
-    sessionable solvers are supported (``pipelined`` has no Run form).
+    sessionable solvers are supported (``pipelined`` takes no ``plan=``).
     ``metrics`` (a :class:`~repro.metrics.registry.MetricsRegistry`) makes
     the session record serving + solve telemetry labeled with ``problem``.
     """

@@ -73,15 +73,6 @@ def serve_requests_total(reg: MetricsRegistry):
     )
 
 
-def serve_batch_occupancy(reg: MetricsRegistry):
-    return reg.gauge(
-        "repro_serve_batch_occupancy",
-        "Fraction of interleave slots that advanced a restart cycle "
-        "in the last solve_many batch",
-        labelnames=_SM,
-    )
-
-
 def serve_batch_rhs_total(reg: MetricsRegistry):
     return reg.counter(
         "repro_serve_batch_rhs_total",

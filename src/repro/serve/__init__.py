@@ -16,8 +16,8 @@ including after ``ctx.reset_clocks()`` or a mid-solve repartition — reuses
 it.  Warm solves are bit-identical to cold ones; only host wall-clock time
 changes (structural setup is uncosted in the simulated timeline).
 
-``solve_many`` batches several right-hand sides over one plan, interleaving
-their restart cycles on the shared context.
+``solve_many`` answers several right-hand sides over one plan, one
+sequential solve each; every result is exactly what ``solve`` returns.
 """
 
 from .fingerprint import fingerprint, pattern_hash

@@ -11,15 +11,11 @@ are bit-identical to cold ones: the plan holds no RHS-dependent state, and
 structural setup is uncosted in the simulated timeline, so even the
 simulated timers/counters match exactly — only host wall-clock changes.
 
-``solve_many`` batches right-hand sides over the shared plan.  By default
-the restart cycles of all pending solves are interleaved round-robin on
-the context (the serving analogue of pipelining independent queries);
-numerics are per-RHS independent, so each returned
-:class:`~repro.core.convergence.SolveResult` is byte-for-byte what a
-sequential ``solve`` would have produced, while the simulated timers and
-counters describe the whole interleaved batch.  Fault injection,
-degradation policies, and deadlines force the sequential path — their
-replay determinism is defined per-solve.
+``solve_many`` answers a list of right-hand sides over the shared plan,
+one sequential solve each: every returned
+:class:`~repro.core.convergence.SolveResult` — timers, counters and
+``details["profile"]`` included — is exactly what :meth:`SolverSession.solve`
+would have returned for that right-hand side.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import time
 
 import numpy as np
 
-from ..core.ca_gmres import CaGmresRun
+from ..core.ca_gmres import CaGmresRun, mpk_block_lengths
 from ..core.convergence import SolveResult
 from ..core.gmres import GmresRun
 from ..gpu.context import MultiGpuContext
@@ -82,7 +78,7 @@ class SolverSession:
         Optional :class:`~repro.metrics.registry.MetricsRegistry`.  The
         session then records serving telemetry — request counts, cold vs
         warm host wall-clock latency (``repro_serve_request_seconds``,
-        nondeterministic by nature), batch occupancy for
+        nondeterministic by nature), right-hand sides answered through
         :meth:`solve_many`, per-cycle simulated durations via the
         solvers' ``on_cycle`` hook, and the full per-solve runtime +
         convergence telemetry (see :mod:`repro.metrics.collect`) — and
@@ -141,13 +137,8 @@ class SolverSession:
         if metrics is not None:
             self.cache.metrics = metrics
         self.n_solves = 0
-        if solver == "ca":
-            use_mpk = self.solver_kwargs.get("use_mpk", True)
-            self._mpk_lengths = (
-                tuple(sorted({self.s, self.m % self.s} - {0})) if use_mpk else ()
-            )
-        else:
-            self._mpk_lengths = ()
+        use_mpk = solver == "ca" and self.solver_kwargs.get("use_mpk", True)
+        self._mpk_lengths = mpk_block_lengths(self.s, self.m) if use_mpk else ()
 
     # ------------------------------------------------------------------
     @property
@@ -189,7 +180,7 @@ class SolverSession:
         return "ca_gmres" if self.solver == "ca" else "gmres"
 
     # ------------------------------------------------------------------
-    def _make_run(self, b: np.ndarray, overrides: dict):
+    def _solve_once(self, b: np.ndarray, overrides: dict) -> SolveResult:
         bad = set(overrides) - _PER_SOLVE_KWARGS
         if bad:
             raise TypeError(
@@ -247,13 +238,8 @@ class SolverSession:
                 "plan-build", REGION_LANE, "plan", self.ctx.current_time(),
                 0.0, **self.cache.last_structural_build,
             )
-        run._serve_host = host
-        return run
-
-    def _postprocess(self, run) -> SolveResult:
         result = run.result()
         self.n_solves += 1
-        host = run._serve_host
         if host.perm is None:
             return result
         return dataclasses.replace(result, x=host.from_solve_order(result.x))
@@ -265,8 +251,27 @@ class SolverSession:
         ``max_restarts``, ``x0``, ``degrade``, ``deadline``, ...);
         structural options are fixed for the session's lifetime.
         """
+        return self._serve(b, overrides, mode="single")
+
+    def solve_many(self, bs, **overrides) -> list[SolveResult]:
+        """Solve one system per right-hand side over the shared plan.
+
+        The right-hand sides are solved one after another, so each result
+        is exactly what :meth:`solve` returns for it.  ``overrides`` apply
+        to every solve.
+        """
+        results = [self._serve(b, overrides, mode="batched") for b in bs]
+        if self.metrics is not None and results:
+            from ..metrics.collect import serve_batch_rhs_total
+
+            serve_batch_rhs_total(self.metrics).inc(
+                len(results), solver=self._solver_label, matrix=self.metrics_label
+            )
+        return results
+
+    def _serve(self, b: np.ndarray, overrides: dict, mode: str) -> SolveResult:
         if self.metrics is None:
-            return self._postprocess(self._make_run(b, overrides))
+            return self._solve_once(b, overrides)
         from ..metrics.collect import (
             observe_solve,
             serve_request_seconds,
@@ -278,76 +283,13 @@ class SolverSession:
             self.cache.stats["plan_misses"] + self.cache.stats["host_misses"]
         )
         wall_start = time.perf_counter()
-        result = self._postprocess(self._make_run(b, overrides))
+        result = self._solve_once(b, overrides)
         wall = time.perf_counter() - wall_start
         misses_after = (
             self.cache.stats["plan_misses"] + self.cache.stats["host_misses"]
         )
         plan = "cold" if misses_after > misses_before else "warm"
         serve_request_seconds(self.metrics).observe(wall, plan=plan, **labels)
-        serve_requests_total(self.metrics).inc(mode="single", **labels)
+        serve_requests_total(self.metrics).inc(mode=mode, **labels)
         observe_solve(self.metrics, self.ctx, result, **labels)
         return result
-
-    def solve_many(
-        self,
-        bs,
-        interleave: bool | None = None,
-        **overrides,
-    ) -> list[SolveResult]:
-        """Solve one system per right-hand side over the shared plan.
-
-        With ``interleave`` (the default when no fault plan, degrade
-        policy, or deadline is active) the pending solves' restart cycles
-        are multiplexed round-robin on the context.  Per-RHS numerics are
-        independent — each result's ``x``/``history`` is byte-for-byte
-        identical to a sequential :meth:`solve` — while simulated timers
-        and counters describe the batch as a whole.  Pass
-        ``interleave=False`` to force fully sequential solves (required,
-        and auto-selected, whenever fault replay determinism matters).
-        """
-        bs = list(bs)
-        if interleave is None:
-            interleave = not (
-                self.ctx.faults.active
-                or "degrade" in overrides
-                or "deadline" in overrides
-                or self.solver_kwargs.get("degrade") is not None
-                or self.solver_kwargs.get("deadline") is not None
-            )
-        if not interleave:
-            return [self.solve(b, **overrides) for b in bs]
-        runs = [self._make_run(b, overrides) for b in bs]
-        pending = list(runs)
-        rounds = 0
-        step_calls = 0
-        while pending:
-            rounds += 1
-            step_calls += len(pending)
-            pending = [run for run in pending if run.step()]
-        results = [self._postprocess(run) for run in runs]
-        if self.metrics is not None and runs:
-            from ..metrics.collect import (
-                observe_context,
-                observe_result,
-                serve_batch_occupancy,
-                serve_batch_rhs_total,
-                serve_requests_total,
-            )
-
-            labels = {"solver": self._solver_label, "matrix": self.metrics_label}
-            # Occupancy: fraction of round-robin slots still holding live
-            # solves; 1.0 means every RHS ran for the full batch duration.
-            occupancy = step_calls / (rounds * len(runs)) if rounds else 1.0
-            serve_batch_occupancy(self.metrics).set(occupancy, **labels)
-            serve_batch_rhs_total(self.metrics).inc(len(runs), **labels)
-            serve_requests_total(self.metrics).inc(
-                len(runs), mode="batched", **labels
-            )
-            # The trace/counters describe the interleaved batch as a whole
-            # (each run's constructor reset the clocks; the last reset
-            # precedes the first cycle), so bridge the context once.
-            observe_context(self.metrics, self.ctx, **labels)
-            for result in results:
-                observe_result(self.metrics, result, **labels)
-        return results

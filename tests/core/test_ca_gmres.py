@@ -193,11 +193,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="on_breakdown"):
             ca_gmres(A, np.ones(36), s=2, m=4, on_breakdown="ignore")
 
-    def test_m_exceeds_n(self):
-        A = poisson2d(3)
-        with pytest.raises(ValueError, match="exceeds problem size"):
-            ca_gmres(A, np.ones(9), s=2, m=10)
-
     def test_zero_rhs(self):
         A = poisson2d(4)
         r = ca_gmres(A, np.zeros(16), s=2, m=4)

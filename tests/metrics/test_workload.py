@@ -47,7 +47,6 @@ def test_workload_populates_all_layers():
         "repro_solver_cycle_seconds",  # per-cycle hook
         "repro_solves_total",  # convergence
         "repro_serve_request_seconds",  # serving latency (wall clock)
-        "repro_serve_batch_occupancy",  # batched path
         "repro_plan_cache_requests_total",  # plan cache
     }
     assert expected <= names
