@@ -35,8 +35,10 @@ class GivensHessenbergSolver:
         self._r = np.zeros((m, m), dtype=np.float64)  # triangular factor
         self._g = np.zeros(m + 1, dtype=np.float64)  # rotated rhs
         self._g[0] = float(beta)
-        self._cos = np.zeros(m, dtype=np.float64)
-        self._sin = np.zeros(m, dtype=np.float64)
+        # Python floats, not numpy scalars: the replay loop in append_column
+        # is the same IEEE arithmetic without numpy's per-operation overhead.
+        self._cos: list[float] = []
+        self._sin: list[float] = []
         self.size = 0
 
     def append_column(self, h: np.ndarray) -> float:
@@ -51,21 +53,23 @@ class GivensHessenbergSolver:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (j + 2,):
             raise ValueError(f"expected column of length {j + 2}, got {h.shape}")
-        col = h[: j + 1].copy()
+        col = h.tolist()
+        b = col.pop()
         # Apply the existing rotations to the new column.
-        for i in range(j):
-            c, s = self._cos[i], self._sin[i]
+        for i, (c, s) in enumerate(zip(self._cos, self._sin)):
             temp = c * col[i] + s * col[i + 1]
             col[i + 1] = -s * col[i] + c * col[i + 1]
             col[i] = temp
-        # New rotation to annihilate the subdiagonal entry h[j+1].
-        a, b = col[j], h[j + 1]
-        r = np.hypot(a, b)
+        # New rotation to annihilate the subdiagonal entry h[j+1]
+        # (np.hypot: math.hypot may round differently).
+        a = col[j]
+        r = float(np.hypot(a, b))
         if r == 0.0:
             c, s = 1.0, 0.0
         else:
             c, s = a / r, b / r
-        self._cos[j], self._sin[j] = c, s
+        self._cos.append(c)
+        self._sin.append(s)
         col[j] = r
         self._r[: j + 1, j] = col
         # Rotate the right-hand side.
@@ -102,8 +106,6 @@ def hessenberg_lstsq(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     if H.ndim != 2 or H.shape[0] != H.shape[1] + 1:
         raise ValueError(f"H must be (t+1) x t, got {H.shape}")
     t = H.shape[1]
-    rhs = np.zeros(t + 1, dtype=np.float64)
-    rhs[0] = float(beta)
     solver = GivensHessenbergSolver(t, beta)
     for j in range(t):
         solver.append_column(H[: j + 2, j])

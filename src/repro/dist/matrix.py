@@ -92,7 +92,11 @@ class DistributedMatrix:
             )
             ell = EllpackMatrix.from_csr(remapped)
             # Matrix distribution is one-time setup: adopt without transfer.
-            self.local_ell.append((dev.adopt(ell.values), dev.adopt(ell.col_idx)))
+            # ``ell.op`` is the host-side slot-order product over the same
+            # (adopted, uncopied) values.
+            self.local_ell.append(
+                (dev.adopt(ell.values), dev.adopt(ell.col_idx), ell.op)
+            )
             self._z.append(dev.zeros(max(ext.size, 1)))
 
     @property
@@ -118,14 +122,14 @@ class DistributedMatrix:
                 # the halo copy was free).
                 z.data[n_own : n_own + received[d].size] = received[d]
                 dev.charge_kernel("copy", "cublas", n=received[d].size)
-            values, col_idx = self.local_ell[d]
-            blas.spmv_ell(values, col_idx, z, y_parts[d])
+            values, col_idx, op = self.local_ell[d]
+            blas.spmv_ell(values, col_idx, op, z, y_parts[d])
 
     def device_memory_bytes(self) -> list[int]:
         """Per-device bytes of the resident SpMV state (ELLPACK + buffer)."""
         out = []
         for d in range(self.ctx.n_gpus):
-            values, col_idx = self.local_ell[d]
+            values, col_idx, _ = self.local_ell[d]
             out.append(int(values.nbytes + col_idx.nbytes + self._z[d].nbytes))
         return out
 

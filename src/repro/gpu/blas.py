@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
+from ..sparse.csr import row_sums
 from .device import Device, DeviceArray
 
 __all__ = [
@@ -224,24 +226,23 @@ def qr_panel(V: DeviceArray, variant: str = "magma") -> tuple[DeviceArray, np.nd
 def spmv_ell(
     values: DeviceArray,
     col_idx: DeviceArray,
+    op: scipy.sparse.csr_matrix,
     x: DeviceArray,
     out: DeviceArray,
     variant: str = "ellpack",
 ) -> None:
     """ELLPACK SpMV ``out = A @ x`` on the device.
 
-    ``values``/``col_idx`` are the padded (n_rows, width) ELLPACK arrays.
-    Padded slots cost time too (they are streamed on a real GPU).
+    ``values``/``col_idx`` are the padded (n_rows, width) ELLPACK arrays and
+    ``op`` their slot-order operator (:func:`repro.sparse.ellpack.slot_csr`,
+    a view of ``values``).  The host numerics are scipy's compiled
+    row-sequential product, bit-identical to the column-at-a-time ELLPACK
+    loop.  Padded slots cost time too (they are streamed on a real GPU).
     """
     dev = _device_of(values, col_idx, x, out)
     n_rows, width = values.data.shape
     dev.charge_kernel("spmv", variant, nnz=n_rows * width, n_rows=n_rows)
-    out.data[:] = 0.0
-    vals = values.data
-    cols = col_idx.data
-    xd = x.data
-    for j in range(width):
-        out.data += vals[:, j] * xd[cols[:, j]]
+    out.data[:] = op @ x.data
     dev.apply_pending_faults(out)
 
 
@@ -265,12 +266,11 @@ def spmv_csr_prefix(
         raise ValueError(f"n_active_rows out of range: {n_active_rows}")
     end = int(ptr[n_active_rows])
     dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows)
-    products = data.data[:end] * x.data[indices.data[:end]]
-    out.data[:n_active_rows] = 0.0
-    diffs = np.diff(ptr[: n_active_rows + 1])
-    nonempty = np.flatnonzero(diffs > 0)
-    if nonempty.size:
-        out.data[nonempty] = np.add.reduceat(products, ptr[:-1][nonempty])
+    row_sums(
+        data.data[:end] * x.data[indices.data[:end]],
+        ptr[: n_active_rows + 1],
+        out.data[:n_active_rows],
+    )
     # Poison only the rows this step actually computed — anything beyond
     # the active prefix is never read back.
     dev.apply_pending_faults(out.data[:n_active_rows])

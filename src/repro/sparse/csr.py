@@ -15,7 +15,23 @@ import numpy as np
 
 from .._validation import as_float64_array, as_index_array
 
-__all__ = ["CsrMatrix", "csr_from_dense", "eye_csr"]
+__all__ = ["CsrMatrix", "csr_from_dense", "eye_csr", "row_sums"]
+
+
+def row_sums(products: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Segmented sum: ``out[i] = sum(products[indptr[i]:indptr[i+1]])``.
+
+    ``out`` has ``indptr.size - 1`` entries; empty rows get 0.0.  Each row is
+    summed by ``np.add.reduceat`` (reduceat needs segment starts strictly
+    inside the array, so empty rows are masked out).  This is the one CSR
+    row reduction, shared by the host SpMV and the device prefix SpMV so
+    both round identically.
+    """
+    out[:] = 0.0
+    nonempty = np.flatnonzero(np.diff(indptr) > 0)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(products, indptr[:-1][nonempty])
+    return out
 
 
 class CsrMatrix:
@@ -89,7 +105,7 @@ class CsrMatrix:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix-vector product ``y = A @ x``.
 
-        Implemented with a segmented sum (``np.add.reduceat``) so the whole
+        Implemented with the segmented sum :func:`row_sums` so the whole
         product is a handful of vectorized operations.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -98,20 +114,8 @@ class CsrMatrix:
                 f"dimension mismatch: matrix has {self.n_cols} columns, x has {x.shape[0]}"
             )
         if out is None:
-            out = np.zeros(self.n_rows, dtype=np.float64)
-        else:
-            out[:] = 0.0
-        if self.nnz == 0:
-            return out
-        products = self.data * x[self.indices]
-        # reduceat needs segment starts strictly inside the array; empty rows
-        # are handled by masking them out afterwards.
-        starts = self.indptr[:-1]
-        nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
-        if nonempty.size:
-            sums = np.add.reduceat(products, starts[nonempty])
-            out[nonempty] = sums
-        return out
+            out = np.empty(self.n_rows, dtype=np.float64)
+        return row_sums(self.data * x[self.indices], self.indptr, out)
 
     def matvec_rows(self, x: np.ndarray, n_active_rows: int, out: np.ndarray) -> np.ndarray:
         """SpMV restricted to the leading ``n_active_rows`` rows.
@@ -123,13 +127,11 @@ class CsrMatrix:
         if n_active_rows < 0 or n_active_rows > self.n_rows:
             raise ValueError(f"n_active_rows out of range: {n_active_rows}")
         end = self.indptr[n_active_rows]
-        products = self.data[:end] * x[self.indices[:end]]
-        out[:n_active_rows] = 0.0
-        diffs = np.diff(self.indptr[: n_active_rows + 1])
-        nonempty = np.flatnonzero(diffs > 0)
-        if nonempty.size:
-            sums = np.add.reduceat(products, self.indptr[:-1][nonempty])
-            out[nonempty] = sums
+        row_sums(
+            self.data[:end] * x[self.indices[:end]],
+            self.indptr[: n_active_rows + 1],
+            out[:n_active_rows],
+        )
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 The paper runs GPU SpMV on the ELLPACK layout (Fig. 3 caption): each row is
 padded to the maximum row length so the nonzeros form dense 2-D arrays that
-GPUs can stream with coalesced accesses.  On the simulated device the same
-layout lets NumPy process the product one padded column at a time, which is
-the vectorization-friendly equivalent.
+GPUs can stream with coalesced accesses.  On the simulated device the host
+numerics run on a CSR view of the same arrays in *slot order*
+(:func:`slot_csr`): every padded slot stays in, and scipy's compiled
+row-sequential product sums each row left to right from 0.0.  That is
+exactly the order of the textbook column-at-a-time ELLPACK loop
+(``y += values[:, j] * x[col_idx[:, j]]``), so the result is bit-identical to
+it, including the ``0.0 * x[i]`` padding terms and NaN/inf propagation.
 
 ELLPACK wastes memory when row lengths are skewed; :meth:`EllpackMatrix.from_csr`
 reports the padding ratio so benchmarks can account for it, mirroring the
@@ -14,10 +18,29 @@ format-choice discussion in the paper.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .csr import CsrMatrix
 
-__all__ = ["EllpackMatrix"]
+__all__ = ["EllpackMatrix", "slot_csr"]
+
+
+def slot_csr(
+    values: np.ndarray, col_idx: np.ndarray, n_cols: int
+) -> scipy.sparse.csr_matrix:
+    """Slot-order CSR operator over padded ``(n_rows, width)`` ELLPACK arrays.
+
+    Row ``i`` holds the ``width`` slots of ``values[i]`` in column-slot order,
+    padding included; ``data`` is a view of ``values`` (no copy), so the
+    operator sees in-place writes to it.  ``op @ x`` sums each row left to
+    right starting from 0.0, the same floating-point operations in the same
+    order as the column-at-a-time ELLPACK loop.
+    """
+    n_rows, width = values.shape
+    return scipy.sparse.csr_matrix(
+        (values.reshape(-1), col_idx.reshape(-1), np.arange(n_rows + 1) * width),
+        shape=(n_rows, n_cols),
+    )
 
 
 class EllpackMatrix:
@@ -48,6 +71,8 @@ class EllpackMatrix:
         self.shape = (n_rows, n_cols)
         self.values = values
         self.col_idx = col_idx
+        #: The slot-order product operator (:func:`slot_csr`) over the arrays.
+        self.op = slot_csr(values, col_idx, n_cols)
 
     @property
     def width(self) -> int:
@@ -96,11 +121,10 @@ class EllpackMatrix:
         )
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """SpMV ``y = A @ x`` column-of-the-padded-layout at a time.
+        """SpMV ``y = A @ x`` with the slot-order operator :attr:`op`.
 
-        Each iteration of the (short, width-length) loop is a fully
-        vectorized gather + fused multiply-add over all rows, the NumPy
-        analog of the coalesced ELLPACK GPU kernel.
+        Bit-identical to the column-at-a-time ELLPACK loop: each row sums
+        its padded slots left to right starting from 0.0.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.shape[1]:
@@ -108,11 +132,8 @@ class EllpackMatrix:
                 f"dimension mismatch: matrix has {self.shape[1]} columns, x has {x.shape[0]}"
             )
         if out is None:
-            out = np.zeros(self.shape[0], dtype=np.float64)
-        else:
-            out[:] = 0.0
-        for j in range(self.width):
-            out += self.values[:, j] * x[self.col_idx[:, j]]
+            return self.op @ x
+        out[:] = self.op @ x
         return out
 
     def to_dense(self) -> np.ndarray:

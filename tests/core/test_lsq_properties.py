@@ -8,6 +8,8 @@ from repro.core.balance import balance_matrix
 from repro.core.lsq import GivensHessenbergSolver, hessenberg_lstsq
 from repro.sparse.csr import csr_from_dense
 
+from ..conftest import assert_same_bits
+
 
 @st.composite
 def hessenberg_problems(draw):
@@ -97,3 +99,79 @@ def test_balance_column_norms_unit(dense):
     norms = bal.matrix.col_norms()
     nonzero = norms > 0
     np.testing.assert_allclose(norms[nonzero], 1.0, atol=1e-12)
+
+
+class NumpyScalarGivens:
+    """Reference: the rotation loop on numpy scalars that
+    ``GivensHessenbergSolver.append_column`` ran before it moved to Python
+    floats.  The solver must keep matching it bit for bit."""
+
+    def __init__(self, m, beta):
+        self.r = np.zeros((m, m))
+        self.g = np.zeros(m + 1)
+        self.g[0] = float(beta)
+        self.cos = np.zeros(m)
+        self.sin = np.zeros(m)
+        self.size = 0
+
+    def append_column(self, h):
+        j = self.size
+        col = h[: j + 1].copy()
+        for i in range(j):
+            c, s = self.cos[i], self.sin[i]
+            temp = c * col[i] + s * col[i + 1]
+            col[i + 1] = -s * col[i] + c * col[i + 1]
+            col[i] = temp
+        a, b = col[j], h[j + 1]
+        r = np.hypot(a, b)
+        if r == 0.0:
+            c, s = 1.0, 0.0
+        else:
+            c, s = a / r, b / r
+        self.cos[j], self.sin[j] = c, s
+        col[j] = r
+        self.r[: j + 1, j] = col
+        g_j = self.g[j]
+        self.g[j] = c * g_j
+        self.g[j + 1] = -s * g_j
+        self.size += 1
+        return abs(float(self.g[self.size]))
+
+    def solve(self):
+        j = self.size
+        r = self.r[:j, :j]
+        y = np.zeros(j)
+        for i in range(j - 1, -1, -1):
+            y[i] = (self.g[i] - r[i, i + 1 :] @ y[i + 1 :]) / r[i, i]
+        return y
+
+
+@st.composite
+def hessenberg_columns(draw):
+    """Up to 180 columns (dielfilter's m) of widely scaled entries, with
+    zero subdiagonals (the ``r == 0`` branch once the column is zero too)
+    and whole zero columns."""
+    m = draw(st.integers(1, 180))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = np.triu(rng.standard_normal((m + 1, m)), k=-1)
+    H *= 10.0 ** rng.integers(-6, 7, (m + 1, m))
+    sub = np.arange(m)
+    H[sub + 1, sub] *= rng.random(m) >= 0.2
+    H[:, rng.random(m) < 0.1] = 0.0
+    beta = draw(st.floats(1e-3, 1e3))
+    return H, beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(hessenberg_columns())
+def test_givens_bit_identical_to_numpy_scalar_loop(problem):
+    H, beta = problem
+    m = H.shape[1]
+    solver = GivensHessenbergSolver(m, beta)
+    ref = NumpyScalarGivens(m, beta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(m):
+            h = H[: j + 2, j]
+            assert_same_bits(solver.append_column(h), ref.append_column(h))
+            assert_same_bits(solver.residual_norm, abs(float(ref.g[j + 1])))
+        assert_same_bits(solver.solve(), ref.solve())

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.gpu import blas
 from repro.gpu.context import MultiGpuContext
 from repro.sparse.csr import csr_from_dense
-from repro.sparse.ellpack import EllpackMatrix
+from repro.sparse.ellpack import EllpackMatrix, slot_csr
+
+from ..conftest import assert_same_bits, ell_column_loop, ell_problems
 
 
 @pytest.fixture
@@ -132,6 +135,42 @@ class TestBlas23:
             blas.gemm_nn(dev.zeros((4, 3)), dev.zeros((2, 2)))
 
 
+SPECIAL_X = np.array([np.nan, -0.0, np.inf, -np.inf, 2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ell_problems())
+# Width 1; an all-padding row and padded slots repeating a real column.
+@example((np.array([[1.5], [0.0], [-2.0]]), np.array([[4], [1], [1]]), SPECIAL_X))
+@example(
+    (
+        np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 2.0, 0.0]]),
+        np.array([[1, 1, 1], [1, 1, 1], [4, 4, 2]]),
+        SPECIAL_X,
+    )
+)
+def test_spmv_ell_bit_identical_to_column_loop(problem):
+    """The compiled slot-order product reproduces the column loop bit for
+    bit, and the kernel is charged exactly as before (time, flops, launch)."""
+    values, col_idx, x = problem
+    n_rows, width = values.shape
+    ctx = MultiGpuContext(1)
+    dev = ctx.devices[0]
+    out = dev.zeros(n_rows)
+    blas.spmv_ell(
+        dev.adopt(values), dev.adopt(col_idx), slot_csr(values, col_idx, x.size),
+        dev.adopt(x), out,
+    )
+    assert_same_bits(out.data, ell_column_loop(values, col_idx, x))
+
+    ref = MultiGpuContext(1)
+    ref.devices[0].charge_kernel("spmv", "ellpack", nnz=n_rows * width, n_rows=n_rows)
+    assert dev.clock == ref.devices[0].clock
+    assert ctx.counters.kernel_launches == ref.counters.kernel_launches == 1
+    assert ctx.counters.device_flops == ref.counters.device_flops
+    assert ctx.counters.kernel_counts == ref.counters.kernel_counts
+
+
 class TestSpmv:
     def test_spmv_ell(self, dev, rng):
         dense = rng.standard_normal((6, 6))
@@ -141,7 +180,7 @@ class TestSpmv:
         cols = dev.adopt(ell.col_idx)
         x = dev.adopt(rng.standard_normal(6))
         out = dev.zeros(6)
-        blas.spmv_ell(vals, cols, x, out)
+        blas.spmv_ell(vals, cols, ell.op, x, out)
         np.testing.assert_allclose(out.data, dense @ x.data, atol=1e-13)
 
     def test_spmv_csr_prefix(self, dev, rng):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import csr_from_dense, eye_csr
 from repro.sparse.ellpack import EllpackMatrix
+
+from ..conftest import assert_same_bits, ell_column_loop, ell_problems
 
 
 def random_csr(n_rows, n_cols, nnz, seed=0):
@@ -92,3 +95,23 @@ class TestMatvec:
         A = CooMatrix((3, 3)).to_csr()
         ell = EllpackMatrix.from_csr(A)
         np.testing.assert_array_equal(ell.matvec(np.ones(3)), np.zeros(3))
+
+    def test_operator_views_values(self):
+        """The slot-order operator reads ``values`` in place, padding kept."""
+        ell = EllpackMatrix.from_csr(random_csr(6, 6, 14, seed=8))
+        assert np.shares_memory(ell.op.data, ell.values)
+        assert ell.op.nnz == ell.padded_size
+        ell.values *= 2.0
+        x = np.random.default_rng(9).standard_normal(6)
+        assert_same_bits(ell.matvec(x), ell_column_loop(ell.values, ell.col_idx, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ell_problems())
+def test_matvec_bit_identical_to_column_loop(problem):
+    values, col_idx, x = problem
+    ell = EllpackMatrix((values.shape[0], x.size), values, col_idx)
+    expected = ell_column_loop(values, col_idx, x)
+    assert_same_bits(ell.matvec(x), expected)
+    out = np.full(values.shape[0], 7.0)
+    assert_same_bits(ell.matvec(x, out=out), expected)
