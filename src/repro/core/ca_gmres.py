@@ -160,6 +160,9 @@ class CaGmresRun(RestartedSolve):
         self.max_panel_retries = max_panel_retries
         self.mpk_lengths = mpk_block_lengths(self.s, int(m)) if use_mpk else ()
         self.shifts: np.ndarray | None = None
+        # Block length -> (shift ops, change-of-basis matrix); both depend
+        # only on the shifts, which are fixed before the first CA cycle.
+        self._block_basis: dict[int, tuple[list[ShiftOp], np.ndarray]] = {}
         self.tsqr_errors: list[dict] = []
         self.adapt_state = {"s_eff": s, "history": []} if adaptive_s else None
         super().__init__(matrix, b, m=m, **options)
@@ -240,7 +243,10 @@ class CaGmresRun(RestartedSolve):
         while j < m:
             s_block = adapt_state["s_eff"] if adapt_state is not None else s
             s_cur = min(s_block, m - j)
-            ops = _block_shift_ops(self.basis, self.shifts, s_cur)
+            if s_cur not in self._block_basis:
+                ops = _block_shift_ops(self.basis, self.shifts, s_cur)
+                self._block_basis[s_cur] = ops, build_change_of_basis(ops)
+            ops, B_c = self._block_basis[s_cur]
             # Candidate generation + orthogonalization, as one recoverable
             # unit: a fault detected anywhere in the block (corrupted MPK
             # exchange, poisoned kernel output caught by the BOrth/TSQR
@@ -271,7 +277,6 @@ class CaGmresRun(RestartedSolve):
             R_bar[: j + 1, j + 1 : j + s_cur + 1] = C
             R_bar[j + 1 : j + s_cur + 1, j + 1 : j + s_cur + 1] = R
             # --- Hessenberg recovery for this block --------------------
-            B_c = build_change_of_basis(ops)
             E = np.zeros((n_cols, s_cur + 1), dtype=np.float64)
             E[j, 0] = 1.0
             E[:, 1:] = R_bar[:, j + 1 : j + s_cur + 1]

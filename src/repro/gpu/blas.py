@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from ..sparse.csr import row_sums
+from ..sparse.csr import ReduceatCsr
 from .device import Device, DeviceArray
 
 __all__ = [
@@ -250,6 +250,7 @@ def spmv_csr_prefix(
     indptr: DeviceArray,
     indices: DeviceArray,
     data: DeviceArray,
+    op: ReduceatCsr,
     x: DeviceArray,
     out: DeviceArray,
     n_active_rows: int,
@@ -259,6 +260,10 @@ def spmv_csr_prefix(
 
     The matrix powers kernel computes a shrinking prefix of the level-ordered
     extended local matrix at each step; only the touched nonzeros are costed.
+    ``indptr`` is the level-ordered row pointer, ``indices``/``data`` the
+    re-laid arrays of ``op`` (:class:`repro.sparse.csr.ReduceatCsr`), whose
+    compiled product is bit-identical to a gather + ``np.add.reduceat``
+    over the same rows.
     """
     dev = _device_of(indptr, indices, data, x, out)
     ptr = indptr.data
@@ -266,11 +271,7 @@ def spmv_csr_prefix(
         raise ValueError(f"n_active_rows out of range: {n_active_rows}")
     end = int(ptr[n_active_rows])
     dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows)
-    row_sums(
-        data.data[:end] * x.data[indices.data[:end]],
-        ptr[: n_active_rows + 1],
-        out.data[:n_active_rows],
-    )
+    op.matvec_prefix(x.data, out.data, n_active_rows)
     # Poison only the rows this step actually computed — anything beyond
     # the active prefix is never read back.
     dev.apply_pending_faults(out.data[:n_active_rows])

@@ -8,12 +8,16 @@ Follows the Fig. 4 pseudocode:
 * **Matrix powers** — step ``k`` computes the rows i^(d,k+1) of
   ``v_{k+1}``, which by the level ordering are the leading
   ``active_rows(k)`` rows of the extended local matrix: one prefix-SpMV
-  per step, no communication.  Shift operations (Newton basis) are applied
-  as vectorized updates on the same prefix.
+  per step (scipy's compiled CSR product over a re-laid slot order,
+  :class:`repro.sparse.csr.ReduceatCsr`, bit-identical to a gather +
+  ``np.add.reduceat``), no communication.  Shift operations (Newton basis)
+  are applied as vectorized updates on the same prefix.
 
 Each device stores the extended local matrix ``A(i^(d,2), :)`` in CSR with
 columns remapped into the extended-vector indexing; the memory overhead
-relative to ``A^(d)`` is exactly the paper's surface-to-volume ratio.
+relative to ``A^(d)`` is exactly the paper's surface-to-volume ratio.  The
+stored entries are kept once, in the operator's slot order, under the
+level-ordered row pointer.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ..gpu import blas
 from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from ..order.partition import Partition
-from ..sparse.csr import CsrMatrix
+from ..sparse.csr import CsrMatrix, ReduceatCsr
 from .dependency import MpkDependency, compute_dependencies
 from .shifts import ShiftOp, monomial_shift_ops
 
@@ -63,8 +67,10 @@ class MatrixPowersKernel:
         self.exchange = StagedExchange(
             partition, [dep.boundary for dep in self.deps]
         )
-        # Per-device extended local matrices and ping-pong buffers.
+        # Per-device extended local matrices, their product operators and
+        # ping-pong buffers.
         self._local: list[tuple[DeviceArray, DeviceArray, DeviceArray]] = []
+        self._ops: list[ReduceatCsr] = []
         self._buffers: list[list[DeviceArray]] = []
         n = matrix.n_rows
         lookup = np.empty(n, dtype=np.int64)
@@ -85,12 +91,10 @@ class MatrixPowersKernel:
                 raise AssertionError(
                     f"MPK dependency closure violated on device {dev.name}"
                 )
+            op = ReduceatCsr(local.indptr, remapped_indices, local.data, ext.size)
+            self._ops.append(op)
             self._local.append(
-                (
-                    dev.adopt(local.indptr),
-                    dev.adopt(remapped_indices),
-                    dev.adopt(local.data),
-                )
+                (dev.adopt(op.indptr), dev.adopt(op.indices), dev.adopt(op.data))
             )
             # Three buffers: current, next, and previous (for complex pairs).
             self._buffers.append([dev.zeros(max(ext.size, 1)) for _ in range(3)])
@@ -133,6 +137,7 @@ class MatrixPowersKernel:
                 z_cur.data[n_own : n_own + received[d].size] = received[d]
                 dev.charge_kernel("copy", "cublas", n=received[d].size)
             indptr, indices, data = self._local[d]
+            spmv_op = self._ops[d]
             for k in range(1, self.s + 1):
                 active = dep.active_rows(k)
                 op = shift_ops[k - 1]
@@ -140,7 +145,7 @@ class MatrixPowersKernel:
                 # layout as the SpMV operator's ELLPACK (level-ordered rows
                 # have near-uniform width), so it is costed at ELLPACK rates.
                 blas.spmv_csr_prefix(
-                    indptr, indices, data, z_cur, z_next, active,
+                    indptr, indices, data, spmv_op, z_cur, z_next, active,
                     variant="ellpack",
                 )
                 if op.kind in ("real", "complex_first"):

@@ -5,17 +5,26 @@ structural operation in this library works on: row extraction for the matrix
 powers kernel, symmetric permutation for reordering, row/column scaling for
 matrix balancing, and the reference SpMV.
 
-All kernels are vectorized NumPy; the only Python-level loops are over rows in
-operations that are inherently sequential (none in the hot paths).
+All kernels are vectorized NumPy or scipy's compiled CSR product; the only
+Python-level loops are over rows in operations that are inherently sequential
+(none in the hot paths).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .._validation import as_float64_array, as_index_array
 
-__all__ = ["CsrMatrix", "csr_from_dense", "eye_csr", "row_sums"]
+__all__ = ["CsrMatrix", "ReduceatCsr", "csr_from_dense", "eye_csr", "row_sums"]
+
+#: numpy's pairwise sum: 8 strided accumulators, halves above 128 terms.
+_UNROLL = 8
+_BLOCK = 128
+#: The value numpy's pairwise sum of fewer than 8 terms starts from (-0.0
+#: on numpy 2.x); a two-term segment of -0.0s reduces to exactly it.
+_PAIRWISE_START = float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
 
 
 def row_sums(products: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -23,15 +32,147 @@ def row_sums(products: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.nd
 
     ``out`` has ``indptr.size - 1`` entries; empty rows get 0.0.  Each row is
     summed by ``np.add.reduceat`` (reduceat needs segment starts strictly
-    inside the array, so empty rows are masked out).  This is the one CSR
-    row reduction, shared by the host SpMV and the device prefix SpMV so
-    both round identically.
+    inside the array, so empty rows are masked out).  This is the CSR row
+    reduction of the host SpMV; the device prefix SpMV (:class:`ReduceatCsr`)
+    reproduces its rounding bit for bit.
     """
     out[:] = 0.0
     nonempty = np.flatnonzero(np.diff(indptr) > 0)
     if nonempty.size:
         out[nonempty] = np.add.reduceat(products, indptr[:-1][nonempty])
     return out
+
+
+def _pointer(lengths: np.ndarray) -> np.ndarray:
+    """Row pointer (leading 0, running sum) of consecutive segments."""
+    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+class ReduceatCsr:
+    """CSR product over leading rows that rounds exactly like :func:`row_sums`.
+
+    ``np.add.reduceat`` sums a row of products ``p0..pn`` as
+    ``p0 + P(p1..pn)``.  numpy's pairwise sum ``P`` adds fewer than 8 terms
+    left to right from :data:`_PAIRWISE_START`; for 8 to 128 terms it keeps
+    8 strided accumulators ``r_k = p_{1+k} + p_{9+k} + ...`` over the first
+    ``n - n%8`` terms, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    and adds the last ``n%8`` terms left to right; above 128 it recurses on
+    halves.  scipy's compiled ``csr_matvec`` adds a row's products left to
+    right onto ``y[i]``, so over a re-laid slot order it makes the same
+    floating-point operations in the same order:
+
+    * an *accumulator* section, 8 sub-rows per row of 8 to 128 terms, sub-row
+      ``k`` holding slots ``1+k, 9+k, ...`` and summed from -0.0 (which adds
+      exactly); numpy then applies the 8-way combine elementwise;
+    * a *tail* section, one sub-row per row: its last ``n%8`` slots, then
+      slot 0, summed onto the combined value (rows under 8 terms onto the
+      start value, a single product onto -0.0, empty rows onto 0.0);
+    * rows of more than 128 terms stay in slot order and are summed by
+      :func:`row_sums` itself.
+
+    Every section lists rows in order, so the leading ``n`` rows are leading
+    sub-rows of each; their counts are kept per ``n`` once used (MPK asks
+    for ``s`` prefixes).  ``indptr`` stays the row pointer of the given
+    layout; ``indices``/``data`` hold each stored entry once, in the
+    re-laid order.
+    """
+
+    def __init__(self, indptr, indices, data, n_cols: int):
+        self.indptr = as_index_array(indptr, "indptr")
+        indices = as_index_array(indices, "indices")
+        data = np.asarray(data, dtype=np.float64)
+        self.n_cols = int(n_cols)
+        if not self.indptr.size or self.indptr[0] != 0 or self.indptr[-1] != data.size:
+            raise ValueError("indptr must start at 0 and end at nnz")
+        if indices.shape != data.shape:
+            raise ValueError("indices and data must have equal length")
+        if indices.size and indices.max() >= self.n_cols:
+            raise ValueError("column index out of range")
+        counts = np.diff(self.indptr)
+        long = counts > _BLOCK + 1
+        terms = counts - 1
+        head = np.where(long | (terms < _UNROLL), 0, terms - terms % _UNROLL)
+        self._acc_rows = np.flatnonzero(head)
+        self._long_rows = np.flatnonzero(long)
+        # Tails start from numpy's start value, except empty rows (0.0, as
+        # in row_sums) and single products (-0.0, which adds exactly).
+        start = np.where(counts > 1, _PAIRWISE_START, -0.0)
+        start[counts == 0] = 0.0
+        self._start_rows = np.flatnonzero(np.signbit(start) != np.signbit(_PAIRWISE_START))
+        self._start_vals = start[self._start_rows]
+        # n -> how many rows of each kind lie among the leading n rows.
+        self._prefix: dict[int, tuple[int, int, int]] = {}
+
+        # order[p] = the slot stored at position p of the re-laid arrays.
+        order = np.empty(data.size, dtype=np.int64)
+        starts = self.indptr[:-1]
+        # Accumulator sub-row k of a row with head = 8q holds its slots
+        # 1+k, 9+k, ..., 1+k+8(q-1): slots 1..head as a (q, 8) block,
+        # transposed.  Rows are placed a group of equal q at a time.
+        q = head[self._acc_rows] // _UNROLL
+        self._acc_ptr = _pointer(np.repeat(q, _UNROLL))
+        for width in np.unique(q):
+            pick = np.flatnonzero(q == width)
+            block = 1 + np.arange(_UNROLL)[:, None] + _UNROLL * np.arange(width)
+            dst = self._acc_ptr[_UNROLL * pick][:, None] + np.arange(block.size)
+            order[dst] = starts[self._acc_rows[pick]][:, None] + block.ravel()
+        # Tail of a row: slots head+1 .. count-1, then slot 0.
+        tail_len = np.where(long, 0, counts - head)
+        lo = self._acc_ptr[-1]
+        self._tail_ptr = lo + _pointer(tail_len)
+        hi = self._tail_ptr[-1]
+        order[lo:hi] = np.arange(lo, hi) + np.repeat(
+            starts + head + 1 - self._tail_ptr[:-1], tail_len
+        )
+        order[self._tail_ptr[1:][tail_len > 0] - 1] = starts[tail_len > 0]
+        # Long rows in their own slot order.
+        lengths = counts[self._long_rows]
+        self._long_ptr = hi + _pointer(lengths)
+        order[hi:] = np.arange(hi, data.size) + np.repeat(
+            starts[self._long_rows] - self._long_ptr[:-1], lengths
+        )
+        self.indices = indices[order]
+        self.data = data[order]
+
+    def matvec_prefix(self, x: np.ndarray, out: np.ndarray, n_rows: int) -> np.ndarray:
+        """``out[:n_rows] = (A @ x)[:n_rows]``, bit-identical to
+        ``row_sums(data * x[indices], indptr)`` over the same rows.
+
+        ``x`` and ``out`` are float64 vectors; only the leading ``n_rows``
+        entries of ``out`` are written.
+        """
+        if not 0 <= n_rows < self.indptr.size:
+            raise ValueError(f"n_rows out of range: {n_rows}")
+        if x.shape != (x.size,) or x.size < self.n_cols or out.size < n_rows:
+            raise ValueError("x or out too short for this operator")
+        counts = self._prefix.get(n_rows)
+        if counts is None:
+            rows = (self._acc_rows, self._start_rows, self._long_rows)
+            counts = tuple(int(np.searchsorted(r, n_rows)) for r in rows)
+            self._prefix[n_rows] = counts
+        n_acc, n_start, n_long = counts
+        acc = np.full(_UNROLL * n_acc, -0.0)
+        _sparsetools.csr_matvec(
+            acc.size, x.size, self._acc_ptr, self.indices, self.data, x, acc
+        )
+        pairs = acc[0::2] + acc[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        y = out[:n_rows]
+        y.fill(_PAIRWISE_START)
+        y[self._start_rows[:n_start]] = self._start_vals[:n_start]
+        y[self._acc_rows[:n_acc]] = quads[0::2] + quads[1::2]
+        _sparsetools.csr_matvec(
+            n_rows, x.size, self._tail_ptr, self.indices, self.data, x, y
+        )
+        if n_long:
+            ptr = self._long_ptr[: n_long + 1]
+            lo, hi = ptr[0], ptr[-1]
+            y[self._long_rows[:n_long]] = row_sums(
+                self.data[lo:hi] * x[self.indices[lo:hi]], ptr - lo, np.empty(n_long)
+            )
+        return out
 
 
 class CsrMatrix:

@@ -87,6 +87,64 @@ def ell_column_loop(values: np.ndarray, col_idx: np.ndarray, x: np.ndarray) -> n
 SPECIAL_X = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308)
 
 
+def csr_prefix_reduceat(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Reference MPK step product over the leading ``n_rows`` rows: gather
+    the products, sum each row with ``np.add.reduceat``, empty rows 0.0.
+
+    The computation ``repro.gpu.blas.spmv_csr_prefix`` ran before it moved
+    to :class:`repro.sparse.csr.ReduceatCsr`; the operator must keep
+    matching it bit for bit.
+    """
+    end = indptr[n_rows]
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = data[:end] * x[indices[:end]]
+    out = np.zeros(n_rows)
+    nonempty = np.flatnonzero(np.diff(indptr[: n_rows + 1]) > 0)
+    if nonempty.size:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out[nonempty] = np.add.reduceat(products, indptr[:n_rows][nonempty])
+    return out
+
+
+#: Row lengths at the edges of numpy's pairwise sum, which reduceat runs
+#: over every product after a row's first: 8 accumulators from 8 terms,
+#: halves above 128.
+PAIRWISE_EDGES = (0, 1, 2, 8, 9, 10, 16, 17, 128, 129, 130, 131, 257, 300)
+
+
+@st.composite
+def csr_prefix_problems(draw):
+    """``(indptr, indices, data, x)``: a CSR matrix and a vector.
+
+    Row lengths mix :data:`PAIRWISE_EDGES` with any length up to 300; data
+    spans 17 decades (so a different summation order shows in the bits);
+    ``data`` and ``x`` mix in NaN, +-inf, -0.0 and extremes, and some rows
+    store only -0.0.
+    """
+    lengths = draw(
+        st.lists(
+            st.one_of(st.sampled_from(PAIRWISE_EDGES), st.integers(0, 300)), max_size=10
+        )
+    )
+    n_cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = rng.integers(0, n_cols, nnz)
+    data = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 9, nnz)
+    x = rng.standard_normal(n_cols) * 10.0 ** rng.integers(-8, 9, n_cols)
+    for arr in (data, x):
+        specials = draw(st.lists(st.sampled_from(SPECIAL_X), max_size=min(arr.size, 4)))
+        arr[rng.permutation(arr.size)[: len(specials)]] = specials
+    for i in draw(st.sets(st.integers(0, 9), max_size=2)):
+        if i < len(lengths):
+            data[indptr[i] : indptr[i + 1]] = -0.0
+    return indptr, indices, data, x
+
+
 @st.composite
 def ell_problems(draw):
     """``(values, col_idx, x)``: padded ELLPACK arrays and a vector.

@@ -1,5 +1,7 @@
 """Tests for the CA-GMRES driver."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,42 @@ class TestBookkeeping:
         rels = r.history.relative()
         assert rels[-1] < 1e-8
         assert rels[0] >= rels[-1]
+
+
+class TestShiftMemo:
+    """The Newton shift operations, with their O(k^2) Leja ordering, are
+    built once per distinct block length per solve, not once per block."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # ``repro.core.ca_gmres`` the attribute is the function, not the module.
+        module = importlib.import_module("repro.core.ca_gmres")
+        lengths = []
+        real = module.newton_shift_ops
+
+        def counted(shifts, s):
+            lengths.append(s)
+            return real(shifts, s)
+
+        monkeypatch.setattr(module, "newton_shift_ops", counted)
+        return lengths
+
+    def test_once_per_block_length(self, calls):
+        A = convection_diffusion2d(14)
+        b = np.ones(A.n_rows)
+        for solve in (1, 2):
+            # Blocks 4, 4, 4, 2 per cycle over 3 CA cycles.
+            r = ca_gmres(A, b, s=4, m=14, tol=1e-12, max_restarts=4)
+            assert r.n_restarts == 4
+            assert sorted(calls) == [2] * solve + [4] * solve
+
+    def test_once_per_block_length_adaptive(self, calls):
+        A = convection_diffusion2d(14)
+        b = np.ones(A.n_rows)
+        r = ca_gmres(A, b, s=12, m=30, tol=1e-12, max_restarts=6, adaptive_s=True)
+        used = [h["s_used"] for h in r.details["s_history"]]
+        assert len(used) > len(set(used))
+        assert sorted(calls) == sorted(set(used))
 
 
 class TestValidation:

@@ -6,10 +6,16 @@ from hypothesis import example, given, settings
 
 from repro.gpu import blas
 from repro.gpu.context import MultiGpuContext
-from repro.sparse.csr import csr_from_dense
+from repro.sparse.csr import ReduceatCsr, csr_from_dense
 from repro.sparse.ellpack import EllpackMatrix, slot_csr
 
-from ..conftest import assert_same_bits, ell_column_loop, ell_problems
+from ..conftest import (
+    assert_same_bits,
+    csr_prefix_problems,
+    csr_prefix_reduceat,
+    ell_column_loop,
+    ell_problems,
+)
 
 
 @pytest.fixture
@@ -171,6 +177,37 @@ def test_spmv_ell_bit_identical_to_column_loop(problem):
     assert ctx.counters.kernel_counts == ref.counters.kernel_counts
 
 
+def adopt_operator(dev, op):
+    """The device arrays of a prefix operator: row pointer + re-laid entries."""
+    return dev.adopt(op.indptr), dev.adopt(op.indices), dev.adopt(op.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_prefix_problems())
+def test_spmv_csr_prefix_bit_identical_to_reduceat(problem):
+    """Every prefix equals the old gather + reduceat kernel bit for bit and
+    is charged exactly as before (time, flops, launch, kernel name)."""
+    indptr, indices, data, x = problem
+    n_rows = indptr.size - 1
+    op = ReduceatCsr(indptr, indices, data, x.size)
+    for n in range(n_rows + 1):
+        ctx = MultiGpuContext(1)
+        dev = ctx.devices[0]
+        out = dev.zeros(max(n_rows, 1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            blas.spmv_csr_prefix(
+                *adopt_operator(dev, op), op, dev.adopt(x), out, n, variant="ellpack"
+            )
+        assert_same_bits(out.data[:n], csr_prefix_reduceat(indptr, indices, data, x, n))
+
+        ref = MultiGpuContext(1)
+        ref.devices[0].charge_kernel("spmv", "ellpack", nnz=int(indptr[n]), n_rows=n)
+        assert dev.clock == ref.devices[0].clock
+        assert ctx.counters.kernel_launches == ref.counters.kernel_launches == 1
+        assert ctx.counters.device_flops == ref.counters.device_flops
+        assert ctx.counters.kernel_counts == ref.counters.kernel_counts
+
+
 class TestSpmv:
     def test_spmv_ell(self, dev, rng):
         dense = rng.standard_normal((6, 6))
@@ -187,22 +224,18 @@ class TestSpmv:
         dense = rng.standard_normal((8, 8))
         dense[rng.random((8, 8)) < 0.5] = 0.0
         csr = csr_from_dense(dense)
-        indptr = dev.adopt(csr.indptr)
-        indices = dev.adopt(csr.indices)
-        data = dev.adopt(csr.data)
+        op = ReduceatCsr(csr.indptr, csr.indices, csr.data, 8)
         x = dev.adopt(rng.standard_normal(8))
         out = dev.zeros(8)
-        blas.spmv_csr_prefix(indptr, indices, data, x, out, 5)
+        blas.spmv_csr_prefix(*adopt_operator(dev, op), op, x, out, 5)
         np.testing.assert_allclose(out.data[:5], (dense @ x.data)[:5], atol=1e-13)
 
     def test_spmv_csr_prefix_bounds(self, dev):
-        indptr = dev.adopt(np.array([0, 1], dtype=np.int64))
-        indices = dev.adopt(np.array([0], dtype=np.int64))
-        data = dev.adopt(np.array([1.0]))
+        op = ReduceatCsr([0, 1], [0], [1.0], 1)
         x = dev.adopt(np.ones(1))
         out = dev.zeros(1)
         with pytest.raises(ValueError):
-            blas.spmv_csr_prefix(indptr, indices, data, x, out, 2)
+            blas.spmv_csr_prefix(*adopt_operator(dev, op), op, x, out, 2)
 
 
 class TestVariantTiming:

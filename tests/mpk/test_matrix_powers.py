@@ -5,8 +5,9 @@ import pytest
 
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
-from repro.matrices import poisson2d, g3_circuit
+from repro.matrices import cant, poisson2d, g3_circuit
 from repro.matrices.random_sparse import random_sparse
+from repro.mpk.dependency import compute_dependencies
 from repro.mpk.matrix_powers import MatrixPowersKernel
 from repro.mpk.shifts import ShiftOp
 from repro.order import kway_partition
@@ -185,6 +186,31 @@ class TestCommunication:
         V3 = DistMultiVector(ctx, part, 3)
         with pytest.raises(ValueError, match="shift ops"):
             mpk.run(V3, 0, [ShiftOp("none")])
+
+
+class TestMemoryAccessors:
+    """``device_memory_bytes`` (the autotuner's memory limit, the Fig 8
+    tables) and ``extra_nnz`` follow the level-ordered extended CSR however
+    the kernel lays out its stored entries: row pointer, 16 B per stored
+    entry (index + value) and three ping-pong buffers."""
+
+    @pytest.mark.parametrize(
+        "A", [cant(12, 4, 4), g3_circuit(nx=14, ny=14)], ids=["cant", "g3_circuit"]
+    )
+    def test_match_level_ordered_csr(self, A):
+        s = 4
+        ctx = MultiGpuContext(3)
+        part = block_row_partition(A.n_rows, 3)
+        mpk = MatrixPowersKernel(ctx, A, part, s)
+        memory, extra = [], []
+        for dep in compute_dependencies(A, part, s):
+            local = A.extract_rows(dep.ext_rows[: dep.i_size(2)])
+            buffers = 3 * 8 * max(dep.ext_rows.size, 1)
+            memory.append(local.indptr.nbytes + 16 * local.nnz + buffers)
+            extra.append(local.nnz - int(local.indptr[dep.n_owned]))
+        assert mpk.device_memory_bytes() == memory
+        assert mpk.extra_nnz() == extra
+        assert min(extra) > 0
 
 
 class TestClosureValidation:

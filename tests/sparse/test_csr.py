@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix, csr_from_dense, eye_csr
+from repro.sparse.csr import CsrMatrix, ReduceatCsr, csr_from_dense, eye_csr
+
+from ..conftest import assert_same_bits, csr_prefix_problems, csr_prefix_reduceat
 
 
 def random_csr(n_rows, n_cols, nnz, seed=0):
@@ -227,3 +230,76 @@ class TestScalingAndNorms:
     def test_row_norms_bad_order(self):
         with pytest.raises(ValueError):
             eye_csr(2).row_norms(3.0)
+
+
+def check_every_prefix(indptr, indices, data, x):
+    """The operator equals gather + reduceat for every prefix length and
+    leaves the rows past the prefix untouched."""
+    op = ReduceatCsr(indptr, indices, data, x.size)
+    n_rows = indptr.size - 1
+    for n in range(n_rows + 1):
+        out = np.full(n_rows + 1, 7.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            op.matvec_prefix(x, out, n)
+        assert_same_bits(out[:n], csr_prefix_reduceat(indptr, indices, data, x, n))
+        assert np.all(out[n:] == 7.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csr_prefix_problems())
+# All-(-0.0) rows of the lengths whose sign rules differ (single product,
+# numpy's start value, accumulators); NaN, +-inf and -0.0 in x.
+@example(
+    (
+        np.array([0, 0, 1, 3, 12, 142]),
+        np.zeros(142, dtype=np.int64),
+        np.full(142, -0.0),
+        np.array([2.0]),
+    )
+)
+@example(
+    (
+        np.array([0, 1, 3, 12, 142]),
+        np.tile(np.arange(4), 36)[:142],
+        np.linspace(-3.0, 5.0, 142),
+        np.array([np.nan, -0.0, np.inf, -np.inf]),
+    )
+)
+def test_reduceat_csr_bit_identical_to_reduceat(problem):
+    check_every_prefix(*problem)
+
+
+def test_reduceat_csr_every_row_length():
+    """Rows of every length 0..300, values over 17 decades."""
+    rng = np.random.default_rng(4)
+    indptr = np.concatenate([[0], np.cumsum(rng.permutation(301))])
+    nnz = int(indptr[-1])
+    indices = rng.integers(0, 50, nnz)
+    data = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 9, nnz)
+    check_every_prefix(indptr, indices, data, rng.standard_normal(50))
+
+
+class TestReduceatCsrLayout:
+    def test_single_copy_of_the_entries(self):
+        """The re-laid arrays hold every stored entry once, under the
+        unchanged row pointer."""
+        A = random_csr(40, 30, 900, seed=2)
+        op = ReduceatCsr(A.indptr, A.indices, A.data, A.n_cols)
+        assert op.indptr is A.indptr
+        assert op.indices.size == op.data.size == A.nnz
+        assert sorted(zip(op.indices.tolist(), op.data.tolist())) == sorted(
+            zip(A.indices.tolist(), A.data.tolist())
+        )
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="column index"):
+            ReduceatCsr([0, 1], [3], [1.0], 3)
+        with pytest.raises(ValueError, match="indptr"):
+            ReduceatCsr([0, 2], [0], [1.0], 1)
+        op = ReduceatCsr([0, 1], [0], [1.0], 1)
+        with pytest.raises(ValueError, match="n_rows"):
+            op.matvec_prefix(np.ones(1), np.zeros(2), 2)
+        with pytest.raises(ValueError, match="too short"):
+            op.matvec_prefix(np.ones(0), np.zeros(1), 1)
+        with pytest.raises(ValueError, match="too short"):
+            op.matvec_prefix(np.ones(1), np.zeros(0), 1)
